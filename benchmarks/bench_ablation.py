@@ -22,8 +22,8 @@ def kernel_inputs(system10):
 
 def test_ablation_kernel_power_table(benchmark, kernel_inputs):
     benchmark.group = "ablation:kernel"
-    server, shares = kernel_inputs
-    benchmark(server.psi_round, "OK", 1, None, shares)
+    server, _ = kernel_inputs
+    benchmark(server.psi_round_batch, ["OK"], 1)
 
 
 def test_ablation_kernel_direct_modexp(benchmark, kernel_inputs):
@@ -56,5 +56,5 @@ def test_ablation_bucket_fanout(benchmark, fanout):
 @pytest.mark.parametrize("threads", (1, 2, 8))
 def test_ablation_thread_chunking(benchmark, kernel_inputs, threads):
     benchmark.group = "ablation:threads"
-    server, shares = kernel_inputs
-    benchmark(server.psi_round, "OK", threads, None, shares)
+    server, _ = kernel_inputs
+    benchmark(server.psi_round_batch, ["OK"], threads)

@@ -1,4 +1,4 @@
-"""Unified-path dispatch overhead: plan IR + executor vs raw runners.
+"""Unified-path dispatch overhead: plan IR + executor vs the bare batch.
 
 Not a paper artefact — this benchmark guards the api_redesign: routing
 every query through lowering → LogicalPlan → Executor → QueryBatch must
@@ -7,7 +7,7 @@ single queries (batch of one) as well as for fused multi-query
 submission through ``PrismClient.execute_many``.
 
 Expected shape: ``unified-single`` within a few percent of
-``runner-single`` (the sweep dominates; lowering is dict work), and
+``batch-single`` (the sweep dominates; lowering is dict work), and
 ``client-many`` tracking ``run_batch`` exactly (same engine underneath).
 """
 
@@ -19,7 +19,7 @@ import pytest
 
 from repro import PrismClient, Q
 from repro.bench.harness import build_system
-from repro.core.psi import run_psi
+from repro.core.batch import BatchQuery, QueryBatch
 
 
 def client_domain() -> int:
@@ -48,10 +48,10 @@ FLUENT_QUERIES = [
 ]
 
 
-def test_runner_single_psi(benchmark, system):
-    """Baseline: the sequential 1-D runner, bypassing the unified path."""
+def test_batch_single_psi(benchmark, system):
+    """Baseline: a bare batch of one, bypassing lowering and the executor."""
     benchmark.group = "single-psi"
-    benchmark(run_psi, system, "OK")
+    benchmark(lambda: QueryBatch(system, [BatchQuery("psi", "OK")]).execute())
 
 
 def test_unified_single_psi(benchmark, system):

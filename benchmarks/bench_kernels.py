@@ -67,22 +67,22 @@ def measure_families(system, repeats: int) -> dict[str, float]:
     z = SeededPRG(123, "bench-z").integers(b, 0, system.initiator.field_prime)
     z_matrix = np.asarray([z], dtype=np.int64)
 
-    def run_psi():
+    def sweep_psi():
         server.psi_round_batch(["OK"], shard_plan=plan)
 
-    def run_psu():
+    def sweep_psu():
         server.psu_round_batch(["OK"], [system.next_nonce()],
                                shard_plan=plan)
 
-    def run_agg():
+    def sweep_agg():
         shamir_server.aggregate_round_batch(["DT"], z_matrix, shard_plan=plan)
 
     prg = SeededPRG(42, "bench-prg")
 
-    def run_prg():
+    def sweep_prg():
         prg.integers(b, 1, 2039)
 
-    runs = {"psi": run_psi, "psu": run_psu, "agg": run_agg, "prg": run_prg}
+    runs = {"psi": sweep_psi, "psu": sweep_psu, "agg": sweep_agg, "prg": sweep_prg}
     for warmup in runs.values():  # build the library + fill caches
         warmup()
     return {family: best_of(fn, repeats) for family, fn in runs.items()}

@@ -65,21 +65,21 @@ def measure_kernels(system, plan, repeats: int) -> dict[str, float]:
     z = SeededPRG(123, "bench-z").integers(b, 0, system.initiator.field_prime)
     z_matrix = np.asarray([z], dtype=np.int64)
 
-    def run_psi():
+    def sweep_psi():
         server.psi_round_batch(["OK"], shard_plan=plan)
 
-    def run_psu():
+    def sweep_psu():
         server.psu_round_batch(["OK"], [system.next_nonce()], shard_plan=plan)
 
-    def run_agg():
+    def sweep_agg():
         shamir_server.aggregate_round_batch(["DT"], z_matrix, shard_plan=plan)
 
-    for warmup in (run_psi, run_psu, run_agg):  # fork + fill caches
+    for warmup in (sweep_psi, sweep_psu, sweep_agg):  # fork + fill caches
         warmup()
     return {
-        "psi": best_of(run_psi, repeats),
-        "psu": best_of(run_psu, repeats),
-        "agg": best_of(run_agg, repeats),
+        "psi": best_of(sweep_psi, repeats),
+        "psu": best_of(sweep_psu, repeats),
+        "agg": best_of(sweep_agg, repeats),
     }
 
 

@@ -25,7 +25,6 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import format_series, format_table
 from repro.core.bucketized import simulate_actual_domain_size
-from repro.core.psi import run_psi
 from repro.data.tpch import generate_fleet, lineitem_domain
 
 #: The operation suite of Fig. 3, in the paper's legend order.
@@ -71,11 +70,6 @@ def exp1_threads(domain_size: int | None = None, num_owners: int = 10,
     series: dict[str, list] = {op: [] for op in EXP1_OPERATIONS}
     series["Data Fetch Time"] = []
     for threads in thread_counts:
-        # The unified execution path folds data fetch into the fused
-        # sweep, so the paper's separate fetch phase is probed via the
-        # sequential runner (which still times it apart) — reusing the
-        # run the extrema rows need anyway.
-        fetch_probe = None
         for op in EXP1_OPERATIONS:
             needs_common = op in ("PSI Median", "PSI Max")
             timings = _run_operation(system, op, threads,
@@ -83,18 +77,16 @@ def exp1_threads(domain_size: int | None = None, num_owners: int = 10,
             # PSI max/median with explicit common values skip the PSI
             # round; add it back so the row reflects the full query.
             if needs_common:
-                psi_t = run_psi(system, "OK", num_threads=threads).timings
+                psi_t = system.psi("OK", num_threads=threads).timings
                 total = (timings.server_seconds + timings.announcer_seconds
                          + psi_t.server_seconds)
-                if fetch_probe is None:
-                    fetch_probe = psi_t.fetch_seconds
             else:
                 total = timings.server_seconds
             series[op].append((threads, total))
-        if fetch_probe is None:
-            fetch_probe = run_psi(system, "OK",
-                                  num_threads=threads).timings.fetch_seconds
-        series["Data Fetch Time"].append((threads, fetch_probe))
+        # The fused sweep folds data fetch into server time, so the
+        # paper's separate fetch phase is timed on the fetch step itself.
+        fetch_seconds, _ = timed(system.servers[0].fetch_additive, "OK")
+        series["Data Fetch Time"].append((threads, fetch_seconds))
     text = format_series(
         series, "threads", "time (s)",
         title=f"Fig. 3 — Prism multi-threaded performance "

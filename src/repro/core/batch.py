@@ -19,9 +19,9 @@ queries into a handful of *fused* sweeps:
    (:meth:`~repro.entities.server.PrismServer.psi_round_batch` etc.), so
    access-pattern hiding is preserved — the servers' instruction sequence
    depends on the batch shape only, never on the data.
-4. Owner-side finalisation reuses the exact per-query math of the
-   sequential runners, so every result is bit-identical to what the
-   sequential API returns for the same query.
+4. Owner-side finalisation runs the per-query math on that query's
+   rows, so every result is bit-identical to running the query alone
+   (a batch of one) and matches the plaintext ``*_reference`` oracles.
 
 Aggregation queries additionally route their Phase-2 indicator-share
 generation through the initiator's
@@ -36,7 +36,7 @@ Caveats on result metadata: all results of one batch share a single
 :class:`~repro.core.results.PhaseTimings` object (family sweeps are timed
 once, not per query, and the data-fetch step is folded into server time),
 and ``traffic`` summaries are cumulative transport counters exactly as in
-the sequential API.
+the per-query API.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class BatchQuery:
             multi-attribute PSI).
         agg_attributes: attributes to aggregate (required for the
             aggregation kinds, forbidden otherwise).
-        verify: run the per-kind verification stream where the sequential
-            API supports it.
+        verify: run the per-kind verification stream (every kind but
+            PSU-Count has one).
         owner_ids: restrict the query to a subset of owners.
         querier: the owner that finalises (and, for aggregations, deals
             the indicator shares).
@@ -182,40 +182,6 @@ class BatchQuery:
         return cls(kind=unit.kind, attribute=plan.attribute,
                    agg_attributes=unit.agg_attributes, verify=plan.verify,
                    owner_ids=plan.owner_ids, querier=plan.querier)
-
-    def run_sequential(self, system, num_threads: int | None = None):
-        """Execute this query through the sequential 1-D runners.
-
-        The batch engine's correctness oracle: ``run_batch`` must return
-        results identical to mapping this over the batch.  Calls the
-        runners directly — NOT the ``PrismSystem`` methods, which are
-        themselves shims over the batched path since the unified-API
-        redesign (going through them would compare the batch engine
-        against itself).
-        """
-        from repro.core.aggregate import run_aggregate
-        from repro.core.count import run_psi_count, run_psu_count
-        from repro.core.psi import run_psi
-        from repro.core.psu import run_psu
-        kwargs = {"num_threads": num_threads, "querier": self.querier,
-                  "owner_ids": list(self.owner_ids)
-                  if self.owner_ids is not None else None}
-        if self.kind == "psi":
-            return run_psi(system, self.attribute, verify=self.verify,
-                           **kwargs)
-        if self.kind == "psu":
-            return run_psu(system, self.attribute, verify=self.verify,
-                           **kwargs)
-        if self.kind == "psi_count":
-            return run_psi_count(system, self.attribute, verify=self.verify,
-                                 **kwargs)
-        if self.kind == "psu_count":
-            return run_psu_count(system, self.attribute, **kwargs)
-        over, op = self.kind.split("_")
-        return run_aggregate(system, self.attribute,
-                             list(self.agg_attributes),
-                             op="avg" if op == "average" else "sum",
-                             over=over, verify=self.verify, **kwargs)
 
 
 @dataclasses.dataclass
@@ -377,8 +343,7 @@ class QueryBatch:
         # PhaseTimings instance, which a later run must not mutate.
         self.timings = PhaseTimings()
         # Fresh Eq. 18 nonces per execution, drawn in query-submission
-        # order (matching the sequential loop); re-running the same plan
-        # must never replay a mask stream.
+        # order; re-running the same plan must never replay a mask stream.
         self._psu_nonces = {group: [None] * len(rows)
                             for group, rows in self._psu_rows.items()}
         for group, row in self._psu_order:
@@ -507,7 +472,7 @@ class QueryBatch:
                 outputs[(family, group, 1)][row])
 
     def _finalize_indicator(self, index, query, outputs, results, traffic):
-        """Per-query owner math — identical to the sequential runners.
+        """Per-query owner math on this query's rows of the fused outputs.
 
         Fills ``results[index]`` for set queries; returns the membership
         vector for aggregation queries (finalised later).
@@ -677,7 +642,7 @@ class QueryBatch:
                                                           row_totals, traffic)
 
     def _assemble_aggregate(self, index, member, row_totals, traffic) -> dict:
-        """Per-query AggregateResult assembly (sequential-identical math)."""
+        """Per-query AggregateResult assembly."""
         system = self.system
         query = self.queries[index]
         owner = system.owners[query.querier]
@@ -722,7 +687,7 @@ def run_batch(system, queries, num_threads: int | None = None,
 
     Each element of ``queries`` may be a :class:`BatchQuery`, a Table-4
     SQL string, a parsed :class:`~repro.core.query.QueryPlan`, or a
-    keyword dict.  Results are exactly what the sequential per-query API
+    keyword dict.  Results are exactly what running each query alone
     would return (see :class:`QueryBatch` for the shared-metadata
     caveats).
     """

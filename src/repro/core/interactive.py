@@ -23,8 +23,8 @@ This module makes both facts structural:
   bucket-tree level via
   :meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`, so a
   deployment's :class:`~repro.core.sharding.ShardPlan` — worker pool,
-  thread fallback, per-row fallback for malicious / instrumented server
-  subclasses, span-scoped RPC frames on remote deployments — applies to
+  thread fallback, the tamper seam of malicious server subclasses,
+  span-scoped RPC frames on remote deployments — applies to
   interactive traffic exactly as it does to batch traffic.  Outputs are
   bit-identical to the historical single-threaded sweeps for every
   shard count and deployment mode (pinned by
@@ -171,7 +171,7 @@ def sharded_psi_round(system, attribute, num_threads, shard_plan, timings,
     Dispatches through :meth:`psi_round_batch` (a batch of one row), so
     the deployment's shard plan — or ``shard_plan`` as a per-call
     override — applies, with the full fallback ladder; the output row is
-    bit-identical to the historical 1-D ``psi_round`` sweep.  Returns
+    bit-identical to an unsharded Eq. 3 sweep.  Returns
     the decoded common values, exactly as the owners learn them.
     """
     transport = system.transport

@@ -23,10 +23,12 @@ worker processes, one pool per deployment:
   deployment's servers (what ``PrismSystem(num_shards=...)`` calls).
 
 Fallback ladder (in the server kernels, not here): ``num_shards <= 1``
-or no runtime → the persistent per-server thread pool; fork unavailable
-or the pool broke → threads with ``num_shards`` chunks; subclass
-overrides (malicious / instrumented servers) → the per-row 1-D kernels,
-so fault injection and access tracing keep working under sharding.
+or no runtime → the persistent per-server thread pool; fork unavailable,
+the pool broke, or an overridden fetch layer (instrumented servers) →
+threads with ``num_shards`` chunks.  Malicious servers need no rung of
+their own: the parent applies the server's
+:meth:`~repro.entities.server.PrismServer.tamper` seam to the rows a
+dispatch returns, so fault injection works at every shard count.
 
 Bit-identity: a shard computes exactly the per-element int64 operations
 of the unsharded kernel over its span (same share-summation order, same
@@ -132,14 +134,16 @@ def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
     Mirrors the corresponding in-process kernel *exactly* (operation
     order, reduction points, dtypes) so shard outputs concatenate
     bit-identically to the unsharded sweep for every span decomposition.
-    Reads share vectors straight from the server's store.  Two callers:
+    Reads share vectors through the server's fetch layer and returns the
+    span *before* the :meth:`~repro.entities.server.PrismServer.tamper`
+    seam, which its caller applies.  Two callers:
     the forked shard workers (:func:`_run_span`, which writes the result
     into the shared scratch) and the entity host
     (:mod:`repro.network.host`), which serves span-scoped RPC requests
     with it — the hook for sharding one sweep across deployment channels.
 
     Args:
-        server: the (unmodified) server whose store backs the sweep.
+        server: the server whose store backs the sweep.
         family: ``"psi"`` (Eq. 3 / Eq. 7), ``"psi_cells"`` (Eq. 3 over a
             cell subset — the bucketized per-level sweep, where the span
             indexes the *cells array*), ``"psu"`` (Eq. 18), or ``"agg"``
@@ -152,7 +156,6 @@ def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
     Returns:
         The ``(rows, hi - lo)`` output block of the sweep.
     """
-    store = server.store
     columns = spec["columns"]
     owners = spec["owners"]
 
@@ -162,7 +165,7 @@ def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
         table = server.params.group.power_table
         m_rows = np.asarray(spec["m_rows"], dtype=np.int64)[:, None]
         share_lists = [
-            [store.shard_slice(owner, column, lo, hi) for owner in col_owners]
+            [s[lo:hi] for s in server.fetch_additive(column, col_owners)]
             for column, col_owners in zip(columns, owners)
         ]
         out = np.empty((len(columns), hi - lo), dtype=np.int64)
@@ -187,10 +190,8 @@ def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
         table = server.params.group.power_table
         span = np.asarray(spec["cells"][lo:hi], dtype=np.int64)
         m_rows = np.asarray(spec["m_rows"], dtype=np.int64)[:, None]
-        share_lists = [
-            [store.get(owner, column).values for owner in col_owners]
-            for column, col_owners in zip(columns, owners)
-        ]
+        share_lists = [server.fetch_additive(column, col_owners)
+                       for column, col_owners in zip(columns, owners)]
         out = np.empty((len(columns), hi - lo), dtype=np.int64)
         native = kernels.psi_sweep(share_lists, m_rows, delta, table, out,
                                    cells=span)
@@ -216,7 +217,7 @@ def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
         delta = server.params.delta
         row_map = np.asarray(spec["row_map"], dtype=np.int64)
         share_lists = [
-            [store.shard_slice(owner, column, lo, hi) for owner in col_owners]
+            [s[lo:hi] for s in server.fetch_additive(column, col_owners)]
             for column, col_owners in zip(columns, owners)
         ]
         prgs = [SeededPRG(server.params.prg_seed, f"psu-{nonce}")
@@ -244,7 +245,7 @@ def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
             raise ProtocolError("aggregation span needs its z matrix span")
         p = server.params.field_prime
         share_lists = [
-            [store.shard_slice(owner, column, lo, hi) for owner in col_owners]
+            [s[lo:hi] for s in server.fetch_shamir(column, col_owners)]
             for column, col_owners in zip(columns, owners)
         ]
         acc = np.zeros((len(columns), hi - lo), dtype=np.int64)
@@ -451,8 +452,8 @@ class ShardRuntime:
             self.dispatches += 1
             return self._scratch.out_buf[:rows, :n].copy()
 
-    def run_psi(self, server, columns, owners_by_col, m_rows, n: int,
-                num_shards: int):
+    def sweep_psi(self, server, columns, owners_by_col, m_rows, n: int,
+                  num_shards: int):
         """Sharded fused Eq. 3 / Eq. 7 sweep (see ``psi_round_batch``)."""
         spec = {
             "server": server.index,
@@ -463,8 +464,8 @@ class ShardRuntime:
         }
         return self._dispatch("psi", spec, len(columns), n, num_shards)
 
-    def run_psi_cells(self, server, columns, owners_by_col, m_rows, cells,
-                      num_shards: int):
+    def sweep_psi_cells(self, server, columns, owners_by_col, m_rows, cells,
+                        num_shards: int):
         """Sharded cell-restricted Eq. 3 sweep (``psi_cells_round_batch``).
 
         Shards partition the *cells array*; each worker gathers its span
@@ -483,8 +484,8 @@ class ShardRuntime:
         return self._dispatch("psi_cells", spec, len(columns), len(spec["cells"]),
                               num_shards)
 
-    def run_psu(self, server, uniq_columns, owners_by_col, row_map,
-                query_nonces, n: int, num_shards: int):
+    def sweep_psu(self, server, uniq_columns, owners_by_col, row_map,
+                  query_nonces, n: int, num_shards: int):
         """Sharded fused Eq. 18 sweep (see ``psu_round_batch``).
 
         Ships the query nonces, not the mask streams: each worker seeks
@@ -502,8 +503,8 @@ class ShardRuntime:
         }
         return self._dispatch("psu", spec, rows, n, num_shards)
 
-    def run_agg(self, server, columns, owners_by_col, z_matrix, n: int,
-                num_shards: int):
+    def sweep_agg(self, server, columns, owners_by_col, z_matrix, n: int,
+                  num_shards: int):
         """Sharded fused Eq. 11 sweep (see ``aggregate_round_batch``)."""
         spec = {
             "server": server.index,

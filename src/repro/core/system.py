@@ -11,8 +11,8 @@ its arguments to a :class:`~repro.api.plan.LogicalPlan` and runs it
 through the single :class:`~repro.api.executor.Executor`, so *every*
 query — including a lone ``system.psi(...)`` call — executes as a batch
 of one through the fused 2-D server kernels and the indicator-share
-cache.  Results are bit-identical to the historical per-query runners
-(pinned by ``tests/test_batch.py`` and ``tests/test_api.py``).  For a
+cache.  Results match the plaintext ``*_reference`` oracles (pinned by
+``tests/test_batch.py`` and ``tests/test_api.py``).  For a
 session-style surface with per-session stats, use
 :meth:`client` / :class:`repro.api.PrismClient`.
 
@@ -37,7 +37,6 @@ from repro.core.bucketized import (
     BucketTree,
     outsource_bucketized,
 )
-from repro.core.psu import run_psu
 from repro.core.results import (
     AggregateResult,
     CountResult,
@@ -302,14 +301,7 @@ class PrismSystem:
                         "server_class": server_class,
                         "kwargs": ctor_kwargs,
                     }))
-                proxy = RemoteServer(i, params, channel)
-                # Span-scoped sweep dispatch reads the hosted store
-                # directly (like a forked shard worker), so it is only
-                # sound against an unmodified base-class server — which
-                # the system knows statically: no custom factory for
-                # this index means the host runs a plain PrismServer.
-                proxy.span_dispatch = i not in factories
-                servers.append(proxy)
+                servers.append(RemoteServer(i, params, channel))
         except BaseException:
             # A later server failing to come up must not leak the
             # channels (and forked children) already opened: the
@@ -602,16 +594,7 @@ class PrismSystem:
         return self.executor.execute(plan, num_threads=num_threads, **options)
 
     def psu(self, attribute, verify: bool = False, **kwargs) -> SetResult:
-        """Private set union over ``attribute`` (§7), optionally verified.
-
-        ``query_nonce`` (a legacy escape hatch for pinning the Eq. 18
-        mask stream) routes through the sequential runner; every other
-        call takes the unified batched path.
-        """
-        query_nonce = kwargs.pop("query_nonce", None)
-        if query_nonce is not None:
-            return run_psu(self, attribute, verify=verify,
-                           query_nonce=query_nonce, **kwargs)
+        """Private set union over ``attribute`` (§7), optionally verified."""
         plan, num_threads, options = self._lower("psu", attribute, kwargs,
                                                  verify=verify)
         return self.executor.execute(plan, num_threads=num_threads, **options)

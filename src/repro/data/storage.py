@@ -18,10 +18,10 @@ so sharded worker pools re-fork instead of computing over a stale
 copy-on-write snapshot.
 
 A store can additionally be marked *shard-aware*
-(:meth:`~ServerStore.configure_sharding`): the sharded execution layer
-(:mod:`repro.core.sharding`) then reads every χ-length vector as
-``num_shards`` contiguous partitions through
-:meth:`~ServerStore.shard_slice`.
+(:meth:`~ServerStore.configure_sharding`), recording the number of
+contiguous partitions the sharded execution layer
+(:mod:`repro.core.sharding`) splits every χ-length vector into;
+:meth:`~ServerStore.shard_slice` returns one partition as a view.
 """
 
 from __future__ import annotations
@@ -103,11 +103,7 @@ class ServerStore:
 
     def shard_slice(self, owner_id: int, column: str, lo: int,
                     hi: int) -> np.ndarray:
-        """One contiguous χ span of one owner's column (zero-copy view).
-
-        The read the sharded workers perform: each shard-span task reads
-        exactly its ``[lo, hi)`` partition of every input vector.
-        """
+        """One contiguous χ span of one owner's column (zero-copy view)."""
         return self.get(owner_id, column).values[lo:hi]
 
     def put(self, owner_id: int, column: str, values: np.ndarray,

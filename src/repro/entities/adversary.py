@@ -6,6 +6,11 @@ cell *j*, (iii) inject fake values, or (iv) tamper with the verification
 stream itself.  Each behaviour is a :class:`PrismServer` subclass that
 misbehaves in exactly one way, so tests (and the failure-injection bench)
 can assert that :meth:`DBOwner.verify_psi` catches each one.
+
+Every adversary overrides only :meth:`PrismServer.tamper`, the seam each
+fused output row passes through on every execution path.  Cell indices
+are absolute positions in the sweep; a row handed over as a span
+(``lo`` > 0 on an entity host) is tampered on the cells it covers.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.entities.server import PrismServer
+
+
+def _local(cells, lo: int, length: int):
+    """The absolute ``cells`` that fall in ``[lo, lo + length)``, rebased."""
+    return [c - lo for c in cells if lo <= c < lo + length]
 
 
 class SkipCellsServer(PrismServer):
@@ -23,13 +33,9 @@ class SkipCellsServer(PrismServer):
     would still produce a "legal" proof.
     """
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        honest = super().psi_round(column, num_threads, owner_ids, shares)
-        return np.full_like(honest, honest[0])
-
-    def verification_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        honest = super().verification_round(column, num_threads, owner_ids, shares)
-        return np.full_like(honest, honest[0])
+    def tamper(self, kind, column, row, lo):
+        if kind in ("psi", "verify"):
+            row[:] = row[0]
 
 
 class ReplaySwapServer(PrismServer):
@@ -43,11 +49,11 @@ class ReplaySwapServer(PrismServer):
         super().__init__(index, params)
         self.swap = swap
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        out = super().psi_round(column, num_threads, owner_ids, shares)
-        i, j = self.swap
-        out[i], out[j] = out[j], out[i]
-        return out
+    def tamper(self, kind, column, row, lo):
+        cells = _local(self.swap, lo, row.shape[0])
+        if kind == "psi" and len(cells) == 2:
+            i, j = cells
+            row[i], row[j] = row[j], row[i]
 
 
 class InjectFakeServer(PrismServer):
@@ -67,11 +73,9 @@ class InjectFakeServer(PrismServer):
         self.cells = tuple(cells)
         self.forged_value = int(forged_value)
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        out = super().psi_round(column, num_threads, owner_ids, shares)
-        for c in self.cells:
-            out[c] = self.forged_value
-        return out
+    def tamper(self, kind, column, row, lo):
+        if kind == "psi":
+            row[_local(self.cells, lo, row.shape[0])] = self.forged_value
 
 
 class FalsifyVerificationServer(PrismServer):
@@ -92,17 +96,28 @@ class FalsifyVerificationServer(PrismServer):
         self.cell = int(cell)
         self.guess_seed = guess_seed
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        out = super().psi_round(column, num_threads, owner_ids, shares)
-        out[self.cell] = 1
-        return out
+    def tamper(self, kind, column, row, lo):
+        if kind == "psi":
+            row[_local([self.cell], lo, row.shape[0])] = 1
+        elif kind == "verify":
+            # PF permutes the χ table, so its size is the sweep length b.
+            rng = np.random.default_rng(self.guess_seed)
+            guess = int(rng.integers(0, self.params.pf.size))
+            row[_local([guess], lo, row.shape[0])] = 1
 
-    def verification_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        out = super().verification_round(column, num_threads, owner_ids, shares)
-        rng = np.random.default_rng(self.guess_seed)
-        guess = int(rng.integers(0, out.shape[0]))
-        out[guess] = 1
-        return out
+
+class TamperPsuServer(PrismServer):
+    """PSU attack: shift every Eq. 18 output cell by 1 mod δ.
+
+    A single server cannot *erase* a union member (it would need the other
+    server's share to zero the sum), but shifting fabricates membership
+    for every absent cell — the realistic single-server PSU attack, which
+    the complement-stream check of verified PSU catches.
+    """
+
+    def tamper(self, kind, column, row, lo):
+        if kind == "psu":
+            row[:] = np.mod(row + 1, self.params.delta)
 
 
 class DropAggregateServer(PrismServer):
@@ -116,9 +131,6 @@ class DropAggregateServer(PrismServer):
         super().__init__(index, params)
         self.cells = tuple(cells)
 
-    def aggregate_round(self, column, z_share, num_threads=1, owner_ids=None, shares=None):
-        out = super().aggregate_round(column, z_share, num_threads, owner_ids, shares)
-        if not column.startswith("v"):
-            for c in self.cells:
-                out[c] = 0
-        return out
+    def tamper(self, kind, column, row, lo):
+        if kind == "agg" and not column.startswith("v"):
+            row[_local(self.cells, lo, row.shape[0])] = 0

@@ -2,7 +2,7 @@
 
 :class:`RemoteServer` mirrors the callable surface of
 :class:`~repro.entities.server.PrismServer` — the storage interface,
-the 1-D and fused 2-D kernels, the extrema machinery — and forwards
+the fused 2-D kernels, the extrema machinery — and forwards
 every call through a :class:`~repro.network.rpc.Channel` as a framed
 RPC.  The orchestration layer (:mod:`repro.core`) therefore runs
 unchanged whether ``system.servers[i]`` is an in-process server object
@@ -12,15 +12,11 @@ same shares.
 
 Two deliberate translations happen at this boundary:
 
-* **Fetches are lazy.**  The sequential runners fetch share lists
-  client-side only to hand them straight back to the same server's
-  kernel; shipping the full χ table both ways would be absurd.
-  :meth:`RemoteServer.fetch_additive` returns a :class:`LazyShares`
-  handle instead — if the caller only passes it back to a kernel, the
-  proxy sends ``shares=None`` and the host re-fetches locally (free:
-  the store memoises fetches); if the caller actually *reads* the
-  shares (the bucketized runner slices active nodes), the handle
-  materialises them over the wire on first access.
+* **Fetches are lazy.**  The kernels fetch their shares host-side, so
+  a client-side fetch is only ever a probe; shipping the full χ table
+  for it would be absurd.  :meth:`RemoteServer.fetch_additive` returns
+  a :class:`LazyShares` handle that materialises the shares over the
+  wire on first access only.
 * **Shard plans become shard counts.**  A
   :class:`~repro.core.sharding.ShardPlan` names a local forked worker
   pool, which cannot reach a remote store; the proxy ships the shard
@@ -68,16 +64,6 @@ class LazyShares:
         return self.materialize()[index]
 
 
-def _wire_shares(shares):
-    """What a kernel call ships for its ``shares`` argument."""
-    if shares is None:
-        return None
-    if isinstance(shares, LazyShares):
-        # Never materialised client-side: let the host fetch locally.
-        return shares._data
-    return list(shares)
-
-
 #: Minimum active cells *per shard* before a sharded remote sweep is
 #: split into span-scoped frames.  Below this, one whole-sweep RPC
 #: shipping ``num_shards`` is strictly cheaper: the channel admits one
@@ -96,10 +82,9 @@ class RemoteServer:
     Args:
         index: server id (mirrors the remote entity's).
         params: the server's §4 knowledge view.  Kept client-side too:
-            the orchestrator performs a few server-side steps itself in
-            the sequential runners (e.g. the ``PF_s1`` permutation of
-            PSU-Count), and the initiator dealt these parameters in the
-            first place.
+            pooled span dispatch applies the post-sweep ``PF_s1`` /
+            ``PF_s2`` permutations itself after concatenation, and the
+            initiator dealt these parameters in the first place.
         channel: the :class:`~repro.network.rpc.Channel` to the host.
     """
 
@@ -114,14 +99,6 @@ class RemoteServer:
         #: Deployment-default shard plan (shard *count* only; the
         #: runtime, if any, lives host-side).
         self.shard_plan = None
-        #: Whether sharded cell-restricted sweeps may be issued as
-        #: span-scoped RPC frames (one request per shard span,
-        #: concatenated client-side).  Only sound against an unmodified
-        #: base-class server — the span path reads the hosted store
-        #: directly and must never bypass a malicious / instrumented
-        #: subclass — so :class:`~repro.core.system.PrismSystem` enables
-        #: it exactly for the servers it built without a custom factory.
-        self.span_dispatch = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RemoteServer(index={self.index}, channel={self.channel!r})"
@@ -145,46 +122,6 @@ class RemoteServer:
         return LazyShares(self.channel, "fetch_shamir", column,
                           list(owner_ids) if owner_ids is not None else None)
 
-    # -- 1-D kernels ----------------------------------------------------------
-
-    def psi_round(self, column, num_threads: int = 1, owner_ids=None,
-                  shares=None):
-        return self.channel.call("psi_round", column, num_threads,
-                                 self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
-
-    def verification_round(self, column, num_threads: int = 1, owner_ids=None,
-                           shares=None):
-        return self.channel.call("verification_round", column, num_threads,
-                                 self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
-
-    def psu_round(self, column, query_nonce: int, num_threads: int = 1,
-                  owner_ids=None, shares=None):
-        return self.channel.call("psu_round", column, int(query_nonce),
-                                 num_threads, self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
-
-    def count_round(self, column, num_threads: int = 1, owner_ids=None,
-                    shares=None, use_pf_s2: bool = False):
-        return self.channel.call("count_round", column, num_threads,
-                                 self._owners(owner_ids),
-                                 shares=_wire_shares(shares),
-                                 use_pf_s2=bool(use_pf_s2))
-
-    def count_verification_round(self, column, num_threads: int = 1,
-                                 owner_ids=None, shares=None):
-        return self.channel.call("count_verification_round", column,
-                                 num_threads, self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
-
-    def aggregate_round(self, column, z_share, num_threads: int = 1,
-                        owner_ids=None, shares=None):
-        return self.channel.call("aggregate_round", column,
-                                 np.asarray(z_share, dtype=np.int64),
-                                 num_threads, self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
-
     # -- span fan-out ---------------------------------------------------------
 
     def _span_bounds(self, length: int, num_shards, pool_only: bool):
@@ -199,7 +136,7 @@ class RemoteServer:
         span-scoped wire traffic on a single host.  Every span must
         clear the :data:`SPAN_DISPATCH_MIN_CELLS` floor.
         """
-        if not self.span_dispatch or length <= 0:
+        if length <= 0:
             return None
         fan_out = int(getattr(self.channel, "fan_out", 1) or 1)
         fan = max(num_shards or 1, fan_out)
@@ -232,8 +169,7 @@ class RemoteServer:
                         subtract_m=None, shard_plan=None):
         """Fused Eq. 3 / Eq. 7 sweep, fanned out across a host pool.
 
-        Over a pooled channel against an unmodified host
-        (:attr:`span_dispatch`), the χ length splits into one
+        Over a pooled channel, the χ length splits into one
         span-scoped frame per pool member (or per shard, whichever is
         finer) and the concurrent replies concatenate bit-identically
         to the whole sweep — the sharding layer's span contract, now
@@ -260,8 +196,7 @@ class RemoteServer:
 
         The bucketized per-level rounds call this instead of
         materialising χ shares client-side.  Under a shard plan or a
-        host pool against an unmodified host (:attr:`span_dispatch`),
-        the sweep is issued as one span-scoped RPC frame per shard of
+        host pool, the sweep is issued as one span-scoped RPC frame per shard of
         the cells array — scattered concurrently across the channel
         (pipelined on one host, fanned out over a pool) — and the
         replies concatenate bit-identically to the whole sweep.
@@ -296,9 +231,8 @@ class RemoteServer:
         The §6.5 sweep is the Eq. 3 sweep followed by a *post-sweep*
         row permutation (``PF_s1`` / ``PF_s2``) — not span-local, so a
         pooled dispatch fans out the psi spans and applies the
-        permutation after concatenation, exactly as the sequential
-        runners already do with the very parameters the initiator
-        dealt this proxy (see the class docstring).  Bit-identical: the
+        permutation after concatenation, with the very parameters the
+        initiator dealt this proxy (see the class docstring).  Bit-identical: the
         permutation commutes with span concatenation by construction.
         """
         columns = list(columns)

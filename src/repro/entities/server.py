@@ -1,30 +1,31 @@
 """The Prism server (§3.2 entity 2).
 
-A server stores secret shares and runs the per-query kernels.  It never
+A server stores secret shares and runs the query kernels.  It never
 sees cleartext, never addresses another server, and executes identical
 instruction sequences regardless of the data (access-pattern hiding): all
 kernels are branch-free sweeps over the full χ length ``b``.
 
-Kernels implemented here:
+Every query runs through one kernel surface, the fused 2-D sweeps — one
+chunked pass serves every row of a batch:
 
-* :meth:`psi_round` — Eq. 3: ``g^((Σ_j A(x_i)_j ⊖ A(m)) mod δ) mod η'``.
-* :meth:`verification_round` — Eq. 7 over the complement table.
-* :meth:`psu_round` — Eq. 18: masked additive sums with common PRG.
-* :meth:`count_round` — PSI output permuted with ``PF_s1`` (§6.5).
-* :meth:`aggregate_round` — Eq. 11: Σ_j Shamir(x2)·Shamir(z) per cell.
+* :meth:`psi_round_batch` — Eq. 3 rows (``⊖ A(m)``) and Eq. 7
+  verification rows over the complement table.
+* :meth:`psi_cells_round_batch` — the same, restricted to a cell subset
+  (bucketized PSI, §6.6).
+* :meth:`count_round_batch` — Eq. 3/7 rows permuted with
+  ``PF_s1``/``PF_s2`` (§6.5).
+* :meth:`psu_round_batch` — Eq. 18: masked additive sums with common PRG.
+* :meth:`aggregate_round_batch` — Eq. 11: Σ_j Shamir(x2)·Shamir(z) per cell.
 * :meth:`extrema_collect` / :meth:`fpos_round` — the §6.3 max machinery.
 
-The heavy kernels accept a ``num_threads`` argument and chunk the χ table
-across a *persistent* per-server thread pool (numpy releases the GIL
-inside vector ops), which is what Exp 1 (Fig. 3) sweeps.  The batched
-2-D kernels additionally accept a
-:class:`~repro.core.sharding.ShardPlan`: when the plan names more than
-one shard and the server is an unmodified base-class instance, the sweep
-is dispatched shard-parallel to the deployment's forked worker pool
-(:class:`~repro.core.sharding.ShardRuntime`), falling back to the thread
-pool — with ``num_shards`` chunks — when worker processes are
-unavailable, and to the per-row 1-D kernels when a subclass overrides
-them (so malicious / instrumented servers keep misbehaving per shard).
+A sweep runs on the persistent per-server thread pool (numpy and the
+compiled tier release the GIL), on the deployment's forked worker pool
+(:class:`~repro.core.sharding.ShardRuntime`) when a
+:class:`~repro.core.sharding.ShardPlan` names more than one shard, or —
+behind an entity host — as span-scoped requests.  Whatever the path,
+every output row then passes through :meth:`PrismServer.tamper`, the
+identity for an honest server and the one seam the §5.2 adversaries
+(:mod:`repro.entities.adversary`) override.
 """
 
 from __future__ import annotations
@@ -140,15 +141,16 @@ class PrismServer:
     def _process_plan(self, plan):
         """``plan`` if its worker pool may execute this server's sweeps.
 
-        Process dispatch bypasses Python-level methods entirely, so it is
-        reserved for unmodified base-class behaviour: any override of the
-        fetch layer (instrumented servers tracing access patterns) keeps
-        the sweep in-process where the override still fires.  Kernel
-        overrides are checked by each caller before reaching this point.
+        Forked workers fetch shares in their own address space, so an
+        overridden fetch layer (instrumented servers tracing access
+        patterns) keeps the sweep in-process, where the override's side
+        effects stay visible.
         """
         if plan is None or plan.runtime is None or not plan.runtime.available:
             return None
-        if self._kernel_overridden("fetch_additive", "fetch_shamir"):
+        if any(getattr(type(self), name) is not getattr(PrismServer, name)
+               or name in vars(self)  # instance-level monkeypatch
+               for name in ("fetch_additive", "fetch_shamir")):
             return None
         if type(self.store) is not ServerStore:
             return None
@@ -192,45 +194,42 @@ class PrismServer:
         """Data-fetch step: all owners' Shamir shares of a column."""
         return self.store.fetch_column(column, ShareKind.SHAMIR, owner_ids)
 
-    # -- additive-share kernels ----------------------------------------------
+    # -- the tamper seam ------------------------------------------------------
 
-    def _sum_shares(self, shares: list[np.ndarray], num_threads: int) -> np.ndarray:
-        """Σ_j shares_j mod δ, chunk-threaded over the χ length."""
-        delta = self.params.delta
-        n = shares[0].shape[0]
-        acc = np.zeros(n, dtype=np.int64)
+    def tamper(self, kind: str, column: str, row: np.ndarray, lo: int) -> None:
+        """Hook run once on every fused output row; honest servers pass.
 
-        def kernel(lo: int, hi: int) -> None:
-            local = acc[lo:hi]
-            for s in shares:
-                local += s[lo:hi]
-            np.mod(local, delta, out=local)
+        This is the one place a server subclass may misbehave (the §5.2
+        adversaries of :mod:`repro.entities.adversary`, fault-injection
+        tests).  It runs in the process that owns the server object, on
+        every execution path — local thread and compiled sweeps, after a
+        :class:`~repro.core.sharding.ShardRuntime` dispatch returns, and
+        on an entity host for whole-sweep and span-scoped requests — so
+        an adversary fires at every shard count, deployment, pool size
+        and kernel tier.
 
-        # Sum of m shares each < delta stays far below int64 overflow for
-        # every supported (m, delta), so one final mod per chunk suffices.
-        self._run_chunked(kernel, n, num_threads)
-        return acc
-
-    def psi_round(self, column: str, num_threads: int = 1,
-                  owner_ids: list[int] | None = None,
-                  shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """Eq. 3: the oblivious PSI kernel over all owners' χ shares.
-
-        ``shares`` may be pre-fetched (via :meth:`fetch_additive`) so the
-        caller can time the data-fetch step separately, as Exp 1 does.
+        Args:
+            kind: ``"psi"`` (an Eq. 3 row, with ``⊖ A(m)``), ``"verify"``
+                (an Eq. 7 complement row), ``"psu"`` (an Eq. 18 row,
+                before any ``PF_s1``) or ``"agg"`` (an Eq. 11 row).
+                §6.5 count rows run as ``"psi"``/``"verify"`` rows before
+                their ``PF_s1``/``PF_s2`` permutation.
+            column: the stored column the row swept.
+            row: writable view of the row's output; modify it in place.
+            lo: offset of ``row[0]`` in the sweep's output — ``0`` for
+                whole sweeps, the span start for a span-scoped request
+                (whose sweep, for cell-restricted frames, is the frame's
+                own slice of the cells array).
         """
-        if shares is None:
-            shares = self.fetch_additive(column, owner_ids)
-        num_owners = len(shares)
-        exponents = self._sum_shares(shares, num_threads)
-        # ⊖ A(m): subtract this server's additive share of the owner count.
-        # When the query spans a subset of owners, m is that subset's size;
-        # shares of it are deal with the same split ratio.
-        m_share = self.params.m_share
-        if owner_ids is not None and num_owners != self.params.num_owners:
-            m_share = self._subset_m_share(num_owners)
-        exponents = np.mod(exponents - m_share, self.params.delta)
-        return self._pow_chunked(exponents, num_threads)
+
+    def _tampered(self, kinds, columns, out: np.ndarray,
+                  lo: int = 0) -> np.ndarray:
+        """Apply :meth:`tamper` to every row of a fused output."""
+        for kind, column, row in zip(kinds, columns, out):
+            self.tamper(kind, column, row, lo)
+        return out
+
+    # -- fused kernels --------------------------------------------------------
 
     def _subset_m_share(self, subset_size: int) -> int:
         """Additive share of a subset owner count, derived like A(m).
@@ -243,133 +242,6 @@ class PrismServer:
         if self.index == 0:
             return first
         return (subset_size - first) % self.params.delta
-
-    def _pow_chunked(self, exponents: np.ndarray, num_threads: int) -> np.ndarray:
-        table = self.params.group.power_table
-        delta = self.params.delta
-        out = np.empty_like(exponents)
-
-        def kernel(lo: int, hi: int) -> None:
-            out[lo:hi] = table[np.mod(exponents[lo:hi], delta)]
-
-        self._run_chunked(kernel, exponents.shape[0], num_threads)
-        return out
-
-    def verification_round(self, column: str, num_threads: int = 1,
-                           owner_ids: list[int] | None = None,
-                           shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """Eq. 7: ``g^(Σ_j A(x̄_i)_j) mod η'`` over the complement table.
-
-        Identical sweep shape as :meth:`psi_round` (no ⊖ A(m) term), so a
-        server cannot distinguish verification traffic from PSI traffic.
-        """
-        if shares is None:
-            shares = self.fetch_additive(column, owner_ids)
-        exponents = self._sum_shares(shares, num_threads)
-        return self._pow_chunked(exponents, num_threads)
-
-    def psu_round(self, column: str, query_nonce: int, num_threads: int = 1,
-                  owner_ids: list[int] | None = None,
-                  shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """Eq. 18: the PSU kernel.
-
-        Both servers derive the same mask vector ``rand[i] ∈ [1, δ)`` from
-        the common PRG seed and the query nonce, multiply the summed shares
-        by it and reduce modulo δ.  Owners adding the two outputs get
-        ``(Σ_j x_ij) * rand[i] mod δ`` — zero iff no owner holds the value.
-        """
-        if shares is None:
-            shares = self.fetch_additive(column, owner_ids)
-        summed = self._sum_shares(shares, num_threads)
-        prg = SeededPRG(self.params.prg_seed, f"psu-{query_nonce}")
-        rand = prg.integers(summed.shape[0], 1, self.params.delta)
-        out = np.empty_like(summed)
-
-        def kernel(lo: int, hi: int) -> None:
-            out[lo:hi] = np.mod(summed[lo:hi] * rand[lo:hi], self.params.delta)
-
-        self._run_chunked(kernel, summed.shape[0], num_threads)
-        return out
-
-    def count_round(self, column: str, num_threads: int = 1,
-                    owner_ids: list[int] | None = None,
-                    shares: list[np.ndarray] | None = None,
-                    use_pf_s2: bool = False) -> np.ndarray:
-        """§6.5: PSI output permuted server-side before leaving the server.
-
-        Owners can still count the ones (the cardinality) but can no longer
-        map positions back to domain values, because ``PF_s1`` is unknown
-        to them.  Count *verification* pairs a ``PF_s1``-permuted data
-        stream (over χ pre-permuted with ``PF_db1``) with a
-        ``PF_s2``-permuted complement stream (over χ̄ pre-permuted with
-        ``PF_db2``): by Eq. (1) both arrive permuted by the same unknown
-        ``PF_i``, so the owner can pair cells without learning positions.
-        """
-        out = self.psi_round(column, num_threads, owner_ids, shares)
-        pf = self.params.pf_s2 if use_pf_s2 else self.params.pf_s1
-        return pf.apply(out)
-
-    def count_verification_round(self, column: str, num_threads: int = 1,
-                                 owner_ids: list[int] | None = None,
-                                 shares: list[np.ndarray] | None = None
-                                 ) -> np.ndarray:
-        """Complement stream for count verification, permuted by ``PF_s2``."""
-        out = self.verification_round(column, num_threads, owner_ids, shares)
-        return self.params.pf_s2.apply(out)
-
-    # -- Shamir kernels (aggregation round 2) ---------------------------------
-
-    def aggregate_round(self, column: str, z_share: np.ndarray,
-                        num_threads: int = 1,
-                        owner_ids: list[int] | None = None,
-                        shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """Eq. 11: ``Σ_j S(x_i2)_j × S(z_i)`` per cell, mod the field prime.
-
-        ``z_share`` is this server's Shamir share of the querier's 0/1
-        intersection-indicator vector.  The product of two degree-1 shares
-        is a degree-2 share; owners reconstruct with all three servers.
-        """
-        if shares is None:
-            shares = self.fetch_shamir(column, owner_ids)
-        p = self.params.field_prime
-        n = z_share.shape[0]
-        if shares[0].shape[0] != n:
-            raise ProtocolError(
-                f"z vector length {n} does not match column length "
-                f"{shares[0].shape[0]}"
-            )
-        acc = np.zeros(n, dtype=np.int64)
-
-        def kernel(lo: int, hi: int) -> None:
-            z = z_share[lo:hi]
-            local = acc[lo:hi]
-            for s in shares:
-                # p < 2**31 keeps each product below 2**62; reduce per term.
-                local += np.mod(s[lo:hi] * z, p)
-                np.mod(local, p, out=local)
-
-        self._run_chunked(kernel, n, num_threads)
-        return acc
-
-    # -- batched 2-D kernels (multi-query fused sweeps) ------------------------
-
-    def _kernel_overridden(self, *names: str) -> bool:
-        """True when a subclass replaced any of the named 1-D kernels.
-
-        The unified execution path routes *every* query through the
-        fused 2-D kernels, including queries against deployments with
-        injected malicious/instrumented servers (subclasses overriding
-        the 1-D kernels).  A fused base-class sweep would silently
-        bypass those overrides — the tampering would never happen and
-        verification tests would vacuously pass — so the batch kernels
-        fall back to stacking per-row 1-D outputs whenever a relevant
-        kernel is overridden.  Honest deployments never take this path.
-        """
-        return any(
-            getattr(type(self), name) is not getattr(PrismServer, name)
-            or name in vars(self)  # instance-level monkeypatch
-            for name in names
-        )
 
     @staticmethod
     def _check_uniform(columns, share_lists) -> tuple[int, int]:
@@ -395,7 +267,11 @@ class PrismServer:
         return counts.pop(), lengths.pop()
 
     def _batch_m_shares(self, subtract_m, num_owners, owner_ids) -> np.ndarray:
-        """Per-row ``A(m)`` column vector for a fused Eq. 3/Eq. 7 sweep."""
+        """Per-row ``A(m)`` column vector for a fused Eq. 3/Eq. 7 sweep.
+
+        When a query spans a subset of owners, m is that subset's size;
+        its shares derive from the common PRG like ``A(m)``.
+        """
         m_share = self.params.m_share
         if owner_ids is not None and num_owners != self.params.num_owners:
             m_share = self._subset_m_share(num_owners)
@@ -406,64 +282,26 @@ class PrismServer:
     def psi_round_batch(self, columns, num_threads: int = 1,
                         owner_ids: list[int] | None = None,
                         subtract_m=None, shard_plan=None) -> np.ndarray:
-        """Fused multi-query Eq. 3 / Eq. 7 sweep (2-D :meth:`psi_round`).
+        """Fused multi-query Eq. 3 / Eq. 7 sweep.
 
-        Row ``q`` of the returned ``(Q, b)`` matrix is bit-identical to
-        ``psi_round(columns[q])`` when ``subtract_m[q]`` is true (the
-        default) and to ``verification_round(columns[q])`` otherwise, but
-        all rows are produced by a *single* chunked pass over the χ length:
-        every row's per-owner share vectors are summed into one 2-D
-        accumulator, then reduced and exponentiated together.  The sweep
-        stays
-        branch-free over the full table, so access-pattern hiding is
-        preserved — the instruction sequence depends only on the batch
-        shape, never on the data.
+        Row ``q`` of the returned ``(Q, b)`` matrix is the Eq. 3 output
+        ``g^((Σ_j A(x_i)_j ⊖ A(m)) mod δ) mod η'`` over ``columns[q]`` when
+        ``subtract_m[q]`` is true (the default), and the Eq. 7
+        verification output (no ``⊖ A(m)`` term, same sweep shape, so a
+        server cannot tell the two apart) otherwise.  All rows come from
+        a *single* chunked pass over the χ length: every row's per-owner
+        share vectors are summed into one 2-D accumulator, then reduced
+        and exponentiated together.  The sweep stays branch-free over the
+        full table, so access-pattern hiding is preserved — the
+        instruction sequence depends only on the batch shape, never on
+        the data.
 
         ``shard_plan`` (default: the server's own plan) runs the sweep
         shard-parallel on the deployment's worker pool; outputs stay
         bit-identical to the unsharded sweep for every shard count.
         """
-        if not len(columns):
-            raise ProtocolError("batched PSI sweep needs at least one column")
-        if subtract_m is None:
-            subtract_m = [True] * len(columns)
-        if len(subtract_m) != len(columns):
-            raise ProtocolError("subtract_m flags must match the column count")
-        if self._kernel_overridden("psi_round", "verification_round"):
-            return np.stack([
-                self.psi_round(column, num_threads, owner_ids) if subtract
-                else self.verification_round(column, num_threads, owner_ids)
-                for column, subtract in zip(columns, subtract_m)
-            ])
-        share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
-        num_owners, n = self._check_uniform(columns, share_lists)
-        delta = self.params.delta
-        table = self.params.group.power_table
-        m_rows = self._batch_m_shares(subtract_m, num_owners, owner_ids)
-        plan = self._active_shard_plan(shard_plan)
-        if self._process_plan(plan) is not None:
-            out = plan.runtime.run_psi(
-                self, columns, self._owners_by_column(columns, owner_ids),
-                m_rows, n, plan.num_shards)
-            if out is not None:
-                return out
-        out = np.empty((len(columns), n), dtype=np.int64)
-        kernel = kernels.psi_sweep(share_lists, m_rows, delta, table, out)
-        if kernel is None:
-            acc = np.zeros_like(out)
-
-            def kernel(lo: int, hi: int) -> None:
-                local = acc[:, lo:hi]
-                for q, row_shares in enumerate(share_lists):
-                    row = local[q]
-                    for s in row_shares:
-                        row += s[lo:hi]
-                local -= m_rows
-                np.mod(local, delta, out=local)
-                out[:, lo:hi] = table[local]
-
-        self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
-        return out
+        return self._psi_sweep(columns, None, num_threads, owner_ids,
+                               subtract_m, shard_plan)
 
     def psi_cells_round_batch(self, columns, cells, num_threads: int = 1,
                               owner_ids: list[int] | None = None,
@@ -473,120 +311,96 @@ class PrismServer:
         Row ``q`` of the returned ``(Q, len(cells))`` matrix equals
         ``psi_round_batch(columns)[q][cells]`` — the kernel is
         cell-local, so restricting the sweep to the named cells is
-        bit-identical to slicing the full sweep (and to the historical
-        slice-then-``psi_round`` path the bucketized runner used).  This
-        is the per-level sweep of bucketized PSI (§6.6): only the active
-        bucket nodes are computed, which is the whole point of the
-        bucket tree.
+        bit-identical to slicing the full sweep.  This is the per-level
+        sweep of bucketized PSI (§6.6): only the active bucket nodes are
+        computed, which is the whole point of the bucket tree.
 
         ``cells`` is a 1-D array of χ cell indices, in output order.
         ``shard_plan`` decomposes the *cells array* into contiguous
-        shards and runs them on the deployment's worker pool, with the
-        same fallback ladder as :meth:`psi_round_batch`; subclasses that
-        override the 1-D kernels fall back to the per-row slice-and-sweep
-        path, so malicious / instrumented servers keep misbehaving on
-        exactly the active cells.
+        shards and runs them on the deployment's worker pool.
         """
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 1:
             raise ProtocolError(
                 f"cell index array must be 1-D, got shape {cells.shape}")
+        return self._psi_sweep(columns, cells, num_threads, owner_ids,
+                               subtract_m, shard_plan)
+
+    def _psi_sweep(self, columns, cells, num_threads, owner_ids, subtract_m,
+                   shard_plan) -> np.ndarray:
+        """The Eq. 3 / Eq. 7 family over χ (``cells=None``) or a cell subset."""
         if not len(columns):
-            raise ProtocolError("cell-restricted sweep needs at least one "
-                                "column")
+            raise ProtocolError("batched PSI sweep needs at least one column")
         if subtract_m is None:
             subtract_m = [True] * len(columns)
         if len(subtract_m) != len(columns):
             raise ProtocolError("subtract_m flags must match the column count")
-        def check_cells(b: int) -> None:
-            if cells.size and (int(cells.min()) < 0 or int(cells.max()) >= b):
-                raise ProtocolError(
-                    f"cell indices out of range for χ length {b}")
-
-        if self._kernel_overridden("psi_round", "verification_round"):
-            rows = []
-            for column, subtract in zip(columns, subtract_m):
-                full = self.fetch_additive(column, owner_ids)
-                check_cells(full[0].shape[0])
-                shares = [s[cells] for s in full]
-                rows.append(
-                    self.psi_round(column, num_threads, owner_ids, shares)
-                    if subtract else
-                    self.verification_round(column, num_threads, owner_ids,
-                                            shares))
-            return np.stack(rows)
         share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
         num_owners, b = self._check_uniform(columns, share_lists)
-        check_cells(b)
-        n = cells.shape[0]
+        if cells is not None and cells.size and (
+                int(cells.min()) < 0 or int(cells.max()) >= b):
+            raise ProtocolError(f"cell indices out of range for χ length {b}")
+        n = b if cells is None else cells.shape[0]
         if n == 0:
             return np.empty((len(columns), 0), dtype=np.int64)
         delta = self.params.delta
         table = self.params.group.power_table
         m_rows = self._batch_m_shares(subtract_m, num_owners, owner_ids)
         plan = self._active_shard_plan(shard_plan)
+        out = None
         if self._process_plan(plan) is not None:
-            out = plan.runtime.run_psi_cells(
-                self, columns, self._owners_by_column(columns, owner_ids),
-                m_rows, cells, plan.num_shards)
-            if out is not None:
-                return out
-        out = np.empty((len(columns), n), dtype=np.int64)
-        kernel = kernels.psi_sweep(share_lists, m_rows, delta, table, out,
-                                   cells=cells)
-        if kernel is None:
-            acc = np.zeros_like(out)
+            owners = self._owners_by_column(columns, owner_ids)
+            if cells is None:
+                out = plan.runtime.sweep_psi(self, columns, owners, m_rows,
+                                             n, plan.num_shards)
+            else:
+                out = plan.runtime.sweep_psi_cells(self, columns, owners,
+                                                   m_rows, cells,
+                                                   plan.num_shards)
+        if out is None:
+            out = np.empty((len(columns), n), dtype=np.int64)
+            kernel = kernels.psi_sweep(share_lists, m_rows, delta, table, out,
+                                       cells=cells)
+            if kernel is None:
+                acc = np.zeros_like(out)
 
-            def kernel(lo: int, hi: int) -> None:
-                span = cells[lo:hi]
-                local = acc[:, lo:hi]
-                for q, row_shares in enumerate(share_lists):
-                    row = local[q]
-                    for s in row_shares:
-                        row += s[span]
-                local -= m_rows
-                np.mod(local, delta, out=local)
-                out[:, lo:hi] = table[local]
+                def kernel(lo: int, hi: int) -> None:
+                    span = slice(lo, hi) if cells is None else cells[lo:hi]
+                    local = acc[:, lo:hi]
+                    for q, row_shares in enumerate(share_lists):
+                        row = local[q]
+                        for s in row_shares:
+                            row += s[span]
+                    local -= m_rows
+                    np.mod(local, delta, out=local)
+                    out[:, lo:hi] = table[local]
 
-        self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
-        return out
+            self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
+        kinds = ["psi" if flag else "verify" for flag in subtract_m]
+        return self._tampered(kinds, columns, out)
 
     def count_round_batch(self, columns, num_threads: int = 1,
                           owner_ids: list[int] | None = None,
                           subtract_m=None, use_pf_s2=None,
                           shard_plan=None) -> np.ndarray:
-        """Fused multi-query §6.5 sweep (2-D :meth:`count_round`).
+        """Fused multi-query §6.5 sweep: PSI output permuted server-side.
 
-        Data-stream rows (``subtract_m`` true, the default) leave permuted
-        by ``PF_s1``; complement-proof rows (``subtract_m`` false with
-        ``use_pf_s2`` true) by ``PF_s2`` — exactly the Eq. (1) pairing of
-        :meth:`count_round` / :meth:`count_verification_round`, per row.
+        Owners can still count the ones (the cardinality) but can no
+        longer map positions back to domain values, because ``PF_s1`` is
+        unknown to them.  Data-stream rows (``subtract_m`` true, the
+        default) leave permuted by ``PF_s1``; complement-proof rows
+        (``subtract_m`` false with ``use_pf_s2`` true) by ``PF_s2``.  The
+        data stream runs over χ pre-permuted with ``PF_db1`` and the
+        proof over χ̄ pre-permuted with ``PF_db2``, so by Eq. (1) both
+        arrive permuted by the same unknown ``PF_i`` and the owner can
+        pair cells without learning positions.
         """
         if not len(columns):
             raise ProtocolError("batched count sweep needs at least one column")
-        if subtract_m is None:
-            subtract_m = [True] * len(columns)
-        if len(subtract_m) != len(columns):
-            raise ProtocolError("subtract_m flags must match the column count")
         if use_pf_s2 is None:
             use_pf_s2 = [False] * len(columns)
         if len(use_pf_s2) != len(columns):
             raise ProtocolError("use_pf_s2 flags must match the column count")
-        if self._kernel_overridden("count_round", "count_verification_round"):
-            rows = []
-            for column, subtract, pf2 in zip(columns, subtract_m, use_pf_s2):
-                if subtract and not pf2:
-                    rows.append(self.count_round(column, num_threads,
-                                                 owner_ids))
-                elif pf2 and not subtract:
-                    rows.append(self.count_verification_round(
-                        column, num_threads, owner_ids))
-                else:
-                    raise ProtocolError(
-                        "per-row count fallback supports only the §6.5 "
-                        "data/proof row shapes"
-                    )
-            return np.stack(rows)
         out = self.psi_round_batch(columns, num_threads, owner_ids, subtract_m,
                                    shard_plan=shard_plan)
         for row, flag in enumerate(use_pf_s2):
@@ -597,13 +411,16 @@ class PrismServer:
     def psu_round_batch(self, columns, query_nonces, num_threads: int = 1,
                         owner_ids: list[int] | None = None,
                         permute=None, shard_plan=None) -> np.ndarray:
-        """Fused multi-query Eq. 18 sweep (2-D :meth:`psu_round`).
+        """Fused multi-query Eq. 18 sweep.
 
-        Row ``q`` equals ``psu_round(columns[q], query_nonces[q])`` — each
-        query keeps its own fresh mask stream — but the owner-share sums
-        are computed once per *distinct* column and broadcast across the
-        rows that reference it.  ``permute[q]`` additionally applies
-        ``PF_s1`` to row ``q`` (the PSU-Count path).
+        Both servers derive the same mask vector ``rand[i] ∈ [1, δ)``
+        from the common PRG seed and each row's query nonce, multiply the
+        summed shares by it and reduce modulo δ.  Owners adding the two
+        outputs get ``(Σ_j x_ij) * rand[i] mod δ`` — zero iff no owner
+        holds the value.  Each row keeps its own fresh mask stream, but
+        the owner-share sums are computed once per *distinct* column and
+        broadcast across the rows that reference it.  ``permute[q]``
+        additionally applies ``PF_s1`` to row ``q`` (the PSU-Count path).
 
         Under a ``shard_plan``, each worker seeks the common counter-mode
         PRG to its own span of every row's Eq. 18 mask stream
@@ -617,12 +434,6 @@ class PrismServer:
             raise ProtocolError("query_nonces must match the column count")
         if permute is not None and len(permute) != len(columns):
             raise ProtocolError("permute flags must match the column count")
-        if self._kernel_overridden("psu_round"):
-            out = np.stack([
-                self.psu_round(column, nonce, num_threads, owner_ids)
-                for column, nonce in zip(columns, query_nonces)
-            ])
-            return self._apply_psu_permute(out, permute)
         uniq = list(dict.fromkeys(columns))
         row_map = np.fromiter((uniq.index(c) for c in columns),
                               dtype=np.int64, count=len(columns))
@@ -630,43 +441,37 @@ class PrismServer:
         _, n = self._check_uniform(uniq, share_lists)
         delta = self.params.delta
         plan = self._active_shard_plan(shard_plan)
+        out = None
         if self._process_plan(plan) is not None:
-            # Workers derive their own span of each row's Eq. 18 mask
-            # stream (counter-mode PRG is seekable), so the dominant
-            # serial cost of PSU — full-length mask generation — shards
-            # along with the sweep.
-            out = plan.runtime.run_psu(
+            out = plan.runtime.sweep_psu(
                 self, uniq, self._owners_by_column(uniq, owner_ids),
                 row_map, list(query_nonces), n, plan.num_shards)
-            if out is not None:
-                return self._apply_psu_permute(out, permute)
-        acc = np.zeros((len(uniq), n), dtype=np.int64)
-        out = np.empty((len(columns), n), dtype=np.int64)
-        keys = [SeededPRG(self.params.prg_seed, f"psu-{nonce}").key_bytes
-                for nonce in query_nonces]
-        kernel = kernels.psu_sweep(share_lists, acc, row_map, keys, delta,
-                                   out)
-        if kernel is None:
-            rand = np.stack([
-                SeededPRG(self.params.prg_seed,
-                          f"psu-{nonce}").integers(n, 1, delta)
-                for nonce in query_nonces
-            ])
+        if out is None:
+            acc = np.zeros((len(uniq), n), dtype=np.int64)
+            out = np.empty((len(columns), n), dtype=np.int64)
+            keys = [SeededPRG(self.params.prg_seed, f"psu-{nonce}").key_bytes
+                    for nonce in query_nonces]
+            kernel = kernels.psu_sweep(share_lists, acc, row_map, keys, delta,
+                                       out)
+            if kernel is None:
+                rand = np.stack([
+                    SeededPRG(self.params.prg_seed,
+                              f"psu-{nonce}").integers(n, 1, delta)
+                    for nonce in query_nonces
+                ])
 
-            def kernel(lo: int, hi: int) -> None:
-                local = acc[:, lo:hi]
-                for u, col_shares in enumerate(share_lists):
-                    row = local[u]
-                    for s in col_shares:
-                        row += s[lo:hi]
-                np.mod(local, delta, out=local)
-                out[:, lo:hi] = np.mod(local[row_map] * rand[:, lo:hi], delta)
+                def kernel(lo: int, hi: int) -> None:
+                    local = acc[:, lo:hi]
+                    for u, col_shares in enumerate(share_lists):
+                        row = local[u]
+                        for s in col_shares:
+                            row += s[lo:hi]
+                    np.mod(local, delta, out=local)
+                    out[:, lo:hi] = np.mod(local[row_map] * rand[:, lo:hi],
+                                           delta)
 
-        self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
-        return self._apply_psu_permute(out, permute)
-
-    def _apply_psu_permute(self, out: np.ndarray, permute) -> np.ndarray:
-        """Apply per-row ``PF_s1`` to the flagged rows (the PSU-Count path)."""
+            self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
+        self._tampered(["psu"] * len(columns), columns, out)
         if permute is not None:
             for row, flag in enumerate(permute):
                 if flag:
@@ -677,14 +482,16 @@ class PrismServer:
                               num_threads: int = 1,
                               owner_ids: list[int] | None = None,
                               shard_plan=None) -> np.ndarray:
-        """Fused multi-query Eq. 11 sweep (2-D :meth:`aggregate_round`).
+        """Fused multi-query Eq. 11 sweep: ``Σ_j S(x_i2)_j × S(z_i)`` per cell.
 
-        ``z_matrix`` stacks one indicator-share vector per query row;
+        ``z_matrix`` stacks one indicator-share vector per query row —
+        this server's Shamir share of the querier's 0/1 indicator;
         ``columns[q]`` names the Shamir aggregation column row ``q``
-        multiplies into.  Row ``q`` is bit-identical to
-        ``aggregate_round(columns[q], z_matrix[q])``.  Under a
-        ``shard_plan`` the querier-dealt ``z_matrix`` reaches the workers
-        through the shared scratch and the sweep runs shard-parallel.
+        multiplies into.  The product of two degree-1 shares is a
+        degree-2 share; owners reconstruct with all three servers.  Under
+        a ``shard_plan`` the querier-dealt ``z_matrix`` reaches the
+        workers through the shared scratch and the sweep runs
+        shard-parallel.
         """
         if not len(columns):
             raise ProtocolError("batched aggregation needs at least one column")
@@ -698,12 +505,6 @@ class PrismServer:
                 f"z matrix of shape {z_matrix.shape} does not stack one row "
                 f"per column ({len(columns)} expected)"
             )
-        if self._kernel_overridden("aggregate_round"):
-            return np.stack([
-                self.aggregate_round(column, z_matrix[row], num_threads,
-                                     owner_ids)
-                for row, column in enumerate(columns)
-            ])
         share_lists = [self.fetch_shamir(c, owner_ids) for c in columns]
         _, n = self._check_uniform(columns, share_lists)
         if z_matrix.shape[1] != n:
@@ -712,29 +513,29 @@ class PrismServer:
                 f"length {n}"
             )
         plan = self._active_shard_plan(shard_plan)
+        out = None
         if self._process_plan(plan) is not None:
-            out = plan.runtime.run_agg(
+            out = plan.runtime.sweep_agg(
                 self, columns, self._owners_by_column(columns, owner_ids),
                 z_matrix, n, plan.num_shards)
-            if out is not None:
-                return out
-        p = self.params.field_prime
-        acc = np.zeros((len(columns), n), dtype=np.int64)
-        kernel = kernels.agg_sweep(share_lists, z_matrix, p, acc)
-        if kernel is None:
-            def kernel(lo: int, hi: int) -> None:
-                local = acc[:, lo:hi]
-                for q, row_shares in enumerate(share_lists):
-                    z = z_matrix[q, lo:hi]
-                    row = local[q]
-                    for s in row_shares:
-                        # p < 2**31 keeps each product below 2**62; reduce
-                        # per term.
-                        row += np.mod(s[lo:hi] * z, p)
-                        np.mod(row, p, out=row)
+        if out is None:
+            p = self.params.field_prime
+            out = np.zeros((len(columns), n), dtype=np.int64)
+            kernel = kernels.agg_sweep(share_lists, z_matrix, p, out)
+            if kernel is None:
+                def kernel(lo: int, hi: int) -> None:
+                    local = out[:, lo:hi]
+                    for q, row_shares in enumerate(share_lists):
+                        z = z_matrix[q, lo:hi]
+                        row = local[q]
+                        for s in row_shares:
+                            # p < 2**31 keeps each product below 2**62;
+                            # reduce per term.
+                            row += np.mod(s[lo:hi] * z, p)
+                            np.mod(row, p, out=row)
 
-        self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
-        return acc
+            self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
+        return self._tampered(["agg"] * len(columns), columns, out)
 
     # -- extrema machinery (§6.3) ---------------------------------------------
 

@@ -382,7 +382,7 @@ class Frame:
     """One decoded request/response envelope.
 
     Attributes:
-        kind: the message kind — an entity method name (``"psi_round"``)
+        kind: the message kind — an entity method name (``"psi_round_batch"``)
             or a reserved control kind (``"__construct__"``,
             ``"__result__"``, ``"__error__"``, ...).
         correlation_id: pairs a response to its request on a channel

@@ -59,12 +59,6 @@ SERVER_METHODS = frozenset({
     "owners_with",
     "fetch_additive",
     "fetch_shamir",
-    "psi_round",
-    "verification_round",
-    "psu_round",
-    "count_round",
-    "count_verification_round",
-    "aggregate_round",
     "psi_round_batch",
     "psi_cells_round_batch",
     "count_round_batch",
@@ -82,16 +76,11 @@ _SHARDED_KERNELS = frozenset({
     "psu_round_batch", "aggregate_round_batch",
 })
 
-#: Kernels servable span-scoped (the frame envelope names the span),
-#: with the 1-D kernels whose override disqualifies span service — the
-#: span path reads the store directly and must never silently bypass a
-#: malicious / instrumented subclass.
-_SPAN_KERNELS = {
-    "psi_round_batch": ("psi_round", "verification_round"),
-    "psi_cells_round_batch": ("psi_round", "verification_round"),
-    "psu_round_batch": ("psu_round",),
-    "aggregate_round_batch": ("aggregate_round",),
-}
+#: Kernels servable span-scoped (the frame envelope names the span).
+_SPAN_KERNELS = frozenset({
+    "psi_round_batch", "psi_cells_round_batch", "psu_round_batch",
+    "aggregate_round_batch",
+})
 
 
 class ServerAdapter:
@@ -155,11 +144,11 @@ class ServerAdapter:
         the dispatcher applies the post-sweep ``PF_s1`` after
         concatenation, with the very parameters the initiator dealt
         it), and Eq. 11 (``aggregate_round_batch``, the frame carrying
-        this span's slice of the z matrix).  The span kernel reads the
-        store directly (exactly like a forked shard worker), so it
-        refuses servers whose kernels are overridden — a malicious or
-        instrumented subclass must keep misbehaving per call, never be
-        silently bypassed by span dispatch.
+        this span's slice of the z matrix).  The span kernel reads shares
+        through the server's fetch layer, and the span's rows then pass
+        through the server's :meth:`~PrismServer.tamper` seam with the
+        span start as offset — a malicious subclass misbehaves on span
+        requests exactly as on whole sweeps.
         """
         if kind not in _SPAN_KERNELS:
             raise ProtocolError(
@@ -167,11 +156,6 @@ class ServerAdapter:
                 f"send a whole-sweep request with num_shards instead"
             )
         server = self.server
-        if (type(server) is not PrismServer
-                or server._kernel_overridden(*_SPAN_KERNELS[kind])):
-            raise ProtocolError(
-                "span-scoped execution requires an unmodified server"
-            )
         columns = list(args[0]) if args else list(kwargs.get("columns", ()))
         if not columns:
             raise ProtocolError("malformed span request")
@@ -212,12 +196,17 @@ class ServerAdapter:
             "m_rows": [int(v) for v in m_rows.ravel()],
             "rows": len(columns),
         }
-        if cells is None:
-            return compute_sweep_span(server, "psi", spec, lo, hi)
-        if cells and not all(0 <= c < b for c in cells):
-            raise ProtocolError(f"cell indices out of range for χ length {b}")
-        spec["cells"] = cells
-        return compute_sweep_span(server, "psi_cells", spec, lo, hi)
+        family = "psi"
+        if cells is not None:
+            if cells and not all(0 <= c < b for c in cells):
+                raise ProtocolError(
+                    f"cell indices out of range for χ length {b}")
+            spec["cells"] = cells
+            family = "psi_cells"
+        kinds = ["psi" if flag else "verify" for flag in subtract_m]
+        return server._tampered(
+            kinds, columns, compute_sweep_span(server, family, spec, lo, hi),
+            lo)
 
     @staticmethod
     def _span_owners(server, columns, owner_ids):
@@ -281,7 +270,9 @@ class ServerAdapter:
             "nonces": nonces,
             "rows": len(columns),
         }
-        return compute_sweep_span(server, "psu", spec, lo, hi)
+        return server._tampered(
+            ["psu"] * len(columns), columns,
+            compute_sweep_span(server, "psu", spec, lo, hi), lo)
 
     def _agg_span(self, server, columns, args, kwargs, lo, hi):
         """One span of the fused Eq. 11 sweep.
@@ -309,8 +300,10 @@ class ServerAdapter:
             "owners": owners,
             "rows": len(columns),
         }
-        return compute_sweep_span(server, "agg", spec, lo, hi,
-                                  z_span=z_block)
+        return server._tampered(
+            ["agg"] * len(columns), columns,
+            compute_sweep_span(server, "agg", spec, lo, hi, z_span=z_block),
+            lo)
 
 
 def adapter_for(entity) -> ServerAdapter:
@@ -490,9 +483,12 @@ class GracefulShutdown:
             self._sockets = [(s, l) for s, l in self._sockets if s is not sock]
 
     def _handle(self, signum, _frame) -> None:
+        # No lock here: the signal runs on the main thread, possibly
+        # while that thread holds ``_lock`` in track()/untrack().  A
+        # lock-free snapshot is safe — untrack() rebinds the list and
+        # track() only appends.
         self.requested.set()
-        with self._lock:
-            sockets = list(self._sockets)
+        sockets = list(self._sockets)
         for sock, listener in sockets:
             try:
                 if listener:

@@ -290,14 +290,20 @@ class Gateway:
                 return  # listener closed: shutdown
             with self._lock:
                 if self._closing:
+                    # shutdown()'s wake-up connect (or a late client):
+                    # stop here rather than block in accept() again.
                     conn.close()
-                    continue
+                    return
                 session = _Session(conn, address)
                 self._sessions.add(session)
                 self._sessions_total += 1
                 thread = threading.Thread(
                     target=self._serve_session, args=(session,),
                     name=f"gateway-session-{session.id}", daemon=True)
+                # Finished sessions drop out, so the list stays bounded
+                # by the live sessions.
+                self._session_threads = [
+                    t for t in self._session_threads if t.is_alive()]
                 self._session_threads.append(thread)
             thread.start()
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Domain, PrismSystem, Relation
-from repro.core.aggregate import aggregate_reference, run_aggregate
-from repro.exceptions import ProtocolError
+from repro import BatchQuery, Domain, PrismSystem, Relation
+from repro.core.aggregate import aggregate_reference
+from repro.exceptions import ProtocolError, QueryError
 
 
 def value_system(rows_per_owner, seed=0, with_verification=False):
@@ -119,20 +119,24 @@ class TestPsuAggregates:
 
 
 class TestValidation:
+    # The batch engine names op and set operation in the query kind, and
+    # rejects unknown ones with a QueryError before any server work.
     def test_unknown_op(self):
         system = value_system(OWNERS)
-        with pytest.raises(ProtocolError):
-            run_aggregate(system, "k", "v1", op="median")
+        with pytest.raises(QueryError):
+            system.run_batch([BatchQuery("psi_median", "k",
+                                         agg_attributes=("v1",))])
 
     def test_unknown_set_op(self):
         system = value_system(OWNERS)
-        with pytest.raises(ProtocolError):
-            run_aggregate(system, "k", "v1", over="xor")
+        with pytest.raises(QueryError):
+            system.run_batch([BatchQuery("xor_sum", "k",
+                                         agg_attributes=("v1",))])
 
     def test_no_attributes(self):
         system = value_system(OWNERS)
         with pytest.raises(ProtocolError):
-            run_aggregate(system, "k", [])
+            system.psi_sum("k", [])
 
     def test_two_rounds_recorded(self):
         system = value_system(OWNERS)

@@ -1,8 +1,9 @@
 """The batched multi-query execution engine (repro.core.batch).
 
-The contract under test: a fused batch returns results *identical* to
-running the same queries one by one through the sequential API, while
-executing fewer server sweeps and reusing dealt indicator shares.
+The contract under test: a fused batch returns the plaintext answer to
+every query (the ``*_reference`` oracles), exactly as running the
+queries one by one does, while executing fewer server sweeps and reusing
+dealt indicator shares.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 from repro import BatchQuery, Domain, PrismSystem, QueryError, Relation
-from repro.core.batch import QueryBatch
+from repro.core.aggregate import aggregate_reference
+from repro.core.batch import _PSU_BASED, QueryBatch
+from repro.core.psi import membership_vector, psi_reference
+from repro.core.psu import psu_reference
 from repro.exceptions import VerificationError
 
 
@@ -56,46 +60,69 @@ MIXED_QUERIES = [
 ]
 
 
-def assert_results_equal(query, sequential, batched):
+def expected_result(query, system):
+    """The plaintext answer to ``query`` over the system's relations."""
+    relations = system.relations
+    if query.owner_ids is not None:
+        relations = [relations[i] for i in query.owner_ids]
+    reference = psu_reference if query.kind in _PSU_BASED else psi_reference
+    values = reference(relations, query.attribute)
     if query.kind in ("psi", "psu"):
-        assert batched.values == sequential.values
-        assert np.array_equal(batched.membership, sequential.membership)
-        assert batched.verified == sequential.verified
+        return values
+    if query.kind.endswith("count"):
+        return len(values)
+    op = "avg" if query.kind.endswith("average") else "sum"
+    return {agg: aggregate_reference(relations, query.attribute, agg, values,
+                                     op)
+            for agg in query.agg_attributes}
+
+
+def assert_results_equal(query, expected, batched, domain):
+    if query.kind in ("psi", "psu"):
+        assert set(batched.values) == expected
+        assert np.array_equal(batched.membership,
+                              membership_vector(expected, domain))
+        assert batched.verified == query.verify
     elif query.kind.endswith("count"):
-        assert batched.count == sequential.count
+        assert batched.count == expected
     else:
         for agg in query.agg_attributes:
-            assert batched[agg].per_value == sequential[agg].per_value
-            assert batched[agg].verified == sequential[agg].verified
+            assert batched[agg].per_value == expected[agg]
+            assert batched[agg].verified == query.verify
 
 
-# -- equality with the sequential path ---------------------------------------
+# -- equality with the plaintext references ----------------------------------
 
 
 def test_mixed_batch_matches_sequential():
-    """A fused batch of >= 8 mixed queries is result-identical to the loop."""
-    sequential = [q.run_sequential(build_hospitals()) for q in MIXED_QUERIES]
-    batched = build_hospitals().run_batch(MIXED_QUERIES)
+    """A fused batch of >= 8 mixed queries matches the plaintext answers."""
+    system = build_hospitals()
+    batched = system.run_batch(MIXED_QUERIES)
     assert len(batched) == len(MIXED_QUERIES) >= 8
-    for query, seq, bat in zip(MIXED_QUERIES, sequential, batched):
-        assert_results_equal(query, seq, bat)
+    for query, bat in zip(MIXED_QUERIES, batched):
+        assert_results_equal(query, expected_result(query, system), bat,
+                             system.domain)
 
 
 def test_batch_on_same_system_matches_sequential_on_same_system():
-    """Batch after sequential on one deployment still agrees (fresh nonces)."""
+    """Batch after one-by-one queries on one deployment still agrees
+    (fresh nonces)."""
     system = build_hospitals()
-    sequential = [q.run_sequential(system) for q in MIXED_QUERIES]
+    alone = [system.run_batch([q])[0] for q in MIXED_QUERIES]
     batched = system.run_batch(MIXED_QUERIES)
-    for query, seq, bat in zip(MIXED_QUERIES, sequential, batched):
-        assert_results_equal(query, seq, bat)
+    for query, one, bat in zip(MIXED_QUERIES, alone, batched):
+        expected = expected_result(query, system)
+        assert_results_equal(query, expected, one, system.domain)
+        assert_results_equal(query, expected, bat, system.domain)
 
 
 def test_batch_through_wire_codec():
     """serialize_transport exercises the 2-D matrix wire encoding."""
-    batched = build_hospitals(serialize_transport=True).run_batch(MIXED_QUERIES)
-    reference = [q.run_sequential(build_hospitals()) for q in MIXED_QUERIES]
-    for query, seq, bat in zip(MIXED_QUERIES, reference, batched):
-        assert_results_equal(query, seq, bat)
+    system = build_hospitals(serialize_transport=True)
+    batched = system.run_batch(MIXED_QUERIES)
+    for query, bat in zip(MIXED_QUERIES, batched):
+        assert_results_equal(query, expected_result(query, system), bat,
+                             system.domain)
 
 
 def test_batch_owner_subset():
@@ -105,10 +132,11 @@ def test_batch_owner_subset():
                    owner_ids=(0, 1)),
         BatchQuery("psu_count", "disease", owner_ids=(0, 2)),
     ]
-    sequential = [q.run_sequential(build_hospitals()) for q in queries]
-    batched = build_hospitals().run_batch(queries)
-    for query, seq, bat in zip(queries, sequential, batched):
-        assert_results_equal(query, seq, bat)
+    system = build_hospitals()
+    batched = system.run_batch(queries)
+    for query, bat in zip(queries, batched):
+        assert_results_equal(query, expected_result(query, system), bat,
+                             system.domain)
 
 
 def test_batch_accepts_sql_and_dicts():
@@ -126,10 +154,13 @@ def test_batch_accepts_sql_and_dicts():
 
 
 def test_batch_threads_match_single_thread():
-    single = build_hospitals().run_batch(MIXED_QUERIES, num_threads=1)
+    system = build_hospitals()
+    single = system.run_batch(MIXED_QUERIES, num_threads=1)
     threaded = build_hospitals().run_batch(MIXED_QUERIES, num_threads=4)
     for query, a, b in zip(MIXED_QUERIES, single, threaded):
-        assert_results_equal(query, a, b)
+        expected = expected_result(query, system)
+        assert_results_equal(query, expected, a, system.domain)
+        assert_results_equal(query, expected, b, system.domain)
 
 
 # -- edge cases ---------------------------------------------------------------

@@ -149,8 +149,8 @@ class TestInProcessChannel:
 
     def test_call_matches_direct(self):
         system, channel = self.make_channel()
-        direct = system.servers[0].psi_round("k")
-        assert np.array_equal(channel.call("psi_round", "k"), direct)
+        direct = system.servers[0].psi_round_batch(["k"])
+        assert np.array_equal(channel.call("psi_round_batch", ["k"]), direct)
         assert channel.stats["requests"] == 1
         system.close()
 
@@ -170,7 +170,7 @@ class TestInProcessChannel:
         with pytest.raises(ProtocolError):
             channel.call("fetch_additive", "no-such-column", None)
         with pytest.raises(ProtocolError):
-            channel.call("_sum_shares", [])  # not on the allowlist
+            channel.call("_psi_sweep", [])  # not on the allowlist
         system.close()
 
     def test_proxy_over_inprocess_channel_is_equivalent(self):
@@ -179,7 +179,8 @@ class TestInProcessChannel:
         system, channel = self.make_channel(serialize=True)
         raw = system.servers[0]
         proxy = RemoteServer(0, raw.params, channel)
-        assert np.array_equal(proxy.psi_round("k"), raw.psi_round("k"))
+        assert np.array_equal(proxy.psi_round_batch(["k"]),
+                              raw.psi_round_batch(["k"]))
         assert proxy.owners_with("k") == raw.owners_with("k")
         shares = proxy.fetch_additive("k")
         assert isinstance(shares, LazyShares)
@@ -334,12 +335,18 @@ class TestTcpDeployment:
             ]
             assert np.array_equal(np.concatenate(halves, axis=1), full)
 
-    def test_span_requests_refuse_modified_servers(self, tcp_hosts):
+    def test_span_requests_serve_modified_servers(self, tcp_hosts):
+        """Span frames pass the hosted server's tamper seam: a malicious
+        server is served span-scoped, misbehaves there, and is caught."""
         with build(tcp_hosts,
                    server_factories={0: SkipCellsServer}) as system:
-            with pytest.raises(ProtocolError):
-                system.servers[0].channel.send(RpcMessage(
-                    "psi_round_batch", {"a": [["k"]], "k": {}}, span=(0, 4)))
+            out = system.servers[0].channel.send(RpcMessage(
+                "psi_round_batch", {"a": [["k"]], "k": {}},
+                span=(0, 4))).payload
+            assert out.shape == (1, 4)
+            assert (out[0] == out[0][0]).all()  # cell 0 replicated
+            with pytest.raises(VerificationError):
+                system.psi("k", verify=True)
 
     def test_sharded_batch_over_socket(self, tcp_hosts, expected_table4):
         with build(tcp_hosts, num_shards=2) as system:
@@ -375,7 +382,7 @@ class TestSubprocessChannel:
             lambda: PrismServer(0, system.initiator.server_params(0)))
         channel.close()
         with pytest.raises(ProtocolError):
-            channel.call("psi_round", "k")
+            channel.call("psi_round_batch", ["k"])
         system.close()
 
 

@@ -122,7 +122,7 @@ class TestSessionBasics:
             from repro.network.rpc import RpcMessage
             with pytest.raises(ProtocolError, match="not a gateway"):
                 client._conn.request(
-                    RpcMessage("psi_round", None)).result(10.0)
+                    RpcMessage("psi_round_batch", None)).result(10.0)
 
     def test_ping_and_healthz(self, gateway):
         with _connect(gateway) as client:
@@ -384,6 +384,73 @@ class TestGracefulShutdown:
         with pytest.raises(ProtocolError):
             GatewayClient("127.0.0.1", port, "tok-alpha",
                           connect_timeout=1.0, request_timeout=5.0)
+
+    def test_shutdown_is_prompt_and_stops_accepting(self, hospital_relations,
+                                                    disease_domain):
+        gw = Gateway(TENANTS).start()
+        gw.register_dataset("alpha", "hospital", hospital_relations,
+                            disease_domain, "disease", seed=11)
+        with _connect(gw) as client:
+            assert isinstance(client.execute(PSI_SQL), SetResult)
+
+        class SlowClose:
+            """Delays the listener close past shutdown's wake-up connect,
+            so an accept loop that went back to accept() would block."""
+
+            def __init__(self, sock):
+                self._sock = sock
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+            def close(self):
+                time.sleep(0.2)
+                self._sock.close()
+
+        gw._listener = SlowClose(gw._listener)
+        start = time.monotonic()
+        gw.shutdown()
+        assert time.monotonic() - start < 1.0
+        assert not gw._accept_thread.is_alive()
+        assert not any(thread.name == "gateway-accept"
+                       for thread in threading.enumerate())
+
+    def test_finished_session_threads_are_pruned(self, gateway):
+        for _ in range(4):
+            with _connect(gateway) as client:
+                client.ping()
+        deadline = time.monotonic() + 5
+        while (any(t.is_alive() for t in gateway._session_threads)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        with _connect(gateway) as client:
+            client.ping()
+            # Only the live session's thread is left.
+            assert len(gateway._session_threads) == 1
+
+    def test_entity_host_signal_handler_takes_no_lock(self):
+        """SIGTERM landing while track()/untrack() hold the (non-
+        reentrant) lock on the main thread must not deadlock."""
+        import socket
+        from repro.network.host import GracefulShutdown
+        graceful = GracefulShutdown()
+        ours, peer = socket.socketpair()
+        graceful.track(ours)
+
+        def signal_inside_track():
+            with graceful._lock:
+                graceful._handle(signal.SIGTERM, None)
+
+        thread = threading.Thread(target=signal_inside_track, daemon=True)
+        thread.start()
+        thread.join(timeout=2)
+        try:
+            assert not thread.is_alive()
+            assert graceful.requested.is_set()
+            assert ours.recv(1) == b""  # read side shut: EOF
+        finally:
+            ours.close()
+            peer.close()
 
     def test_forked_hosts_die_with_gateway(self, hospital_relations,
                                            disease_domain):

@@ -16,7 +16,14 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro import Domain, PrismSystem, ProtocolError, Q, Relation
+from repro import (
+    Domain,
+    PrismSystem,
+    ProtocolError,
+    Q,
+    Relation,
+    VerificationError,
+)
 from repro.entities.adversary import SkipCellsServer
 from repro.network.host import launch_forked_hosts
 from repro.network.rpc import RpcMessage
@@ -124,7 +131,6 @@ class TestTcpShardMatrix:
         with build(tcp_hosts) as system:
             system.outsource_bucketized("k", fanout=2)
             server = system.servers[0]
-            assert server.span_dispatch
             cells = np.asarray([1, 2, 3, 5, 8, 13], dtype=np.int64)
             full = server.psi_cells_round_batch(["k"], cells)
             payload = {"a": [["k"], cells, 1, None], "k": {}}
@@ -156,14 +162,28 @@ class TestTcpShardMatrix:
             # than the 2-per-level whole-sweep baseline.
             assert span_requests > 2 * stats["rounds"]
 
-    def test_span_cell_requests_refuse_modified_servers(self, tcp_hosts):
-        with build(tcp_hosts,
+    def test_span_cell_requests_serve_modified_servers(self, tcp_hosts,
+                                                       monkeypatch):
+        """Cell-restricted span frames pass the hosted server's tamper
+        seam; a sharded traversal still issues them, and the adversary
+        is still detected."""
+        import repro.entities.remote as remote
+        monkeypatch.setattr(remote, "SPAN_DISPATCH_MIN_CELLS", 1)
+        with build(tcp_hosts, num_shards=2,
                    server_factories={0: SkipCellsServer}) as system:
-            assert not system.servers[0].span_dispatch
-            with pytest.raises(ProtocolError):
-                system.servers[0].channel.send(RpcMessage(
-                    "psi_cells_round_batch",
-                    {"a": [["k"], [0, 1, 2, 3]], "k": {}}, span=(0, 2)))
+            out = system.servers[0].channel.send(RpcMessage(
+                "psi_cells_round_batch",
+                {"a": [["k"], [0, 1, 2, 3]], "k": {}}, span=(0, 2))).payload
+            assert out.shape == (1, 2)
+            assert out[0][0] == out[0][1]  # the span's first cell, replicated
+            with pytest.raises(VerificationError):
+                system.psi("k", verify=True)
+            system.outsource_bucketized("k", fanout=2)
+            requests_before = system.channel_stats()["requests"]
+            _, stats = system.bucketized_psi("k")
+            span_requests = (system.channel_stats()["requests"]
+                             - requests_before)
+            assert span_requests > 2 * stats["rounds"]
 
 
 # -- the unified path ---------------------------------------------------------

@@ -255,15 +255,16 @@ class TestPoolFaults:
                 process.join(timeout=10)
 
     @pytest.mark.parametrize("adversary", [SkipCellsServer, InjectFakeServer])
-    def test_malicious_pool_member_detected(self, adversary):
-        """A malicious server behind a pooled role is still caught."""
+    def test_malicious_pool_member_detected(self, adversary, eager_spans):
+        """A malicious server behind a pooled role is still caught, with
+        its sweeps served as span frames across the pool."""
         pools, processes = launch_forked_pools([1, 2, 1])
         try:
             with build(pools_spec(pools),
                        server_factories={1: adversary}) as system:
-                assert not system.servers[1].span_dispatch
                 with pytest.raises(VerificationError):
                     system.psi("k", verify=True, querier=0)
+                assert system._channels[1].stats["scattered_frames"] >= 2
         finally:
             for process in processes:
                 process.terminate()

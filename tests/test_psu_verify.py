@@ -1,12 +1,14 @@
 """Tests for PSU verification (the complement-stream consistency check)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Domain, PrismSystem, Relation, VerificationError
-from repro.entities.adversary import InjectFakeServer, SkipCellsServer
-from repro.entities.server import PrismServer
+from repro.entities.adversary import (
+    InjectFakeServer,
+    SkipCellsServer,
+    TamperPsuServer,
+)
 
 DOMAIN = list(range(1, 25))
 
@@ -19,19 +21,9 @@ def psu_system(server_factories=None, sets=({1, 2, 9}, {2, 9, 17}), seed=3):
                              server_factories=server_factories or {})
 
 
-class _TamperPsuServer(PrismServer):
-    """Shifts every PSU output by 1 mod delta.
-
-    A single server cannot *erase* a union member (it would need the other
-    server's share to zero the sum), but shifting fabricates membership
-    for every absent cell — the realistic single-server PSU attack.
-    """
-
-    def psu_round(self, column, query_nonce, num_threads=1, owner_ids=None,
-                  shares=None):
-        out = super().psu_round(column, query_nonce, num_threads, owner_ids,
-                                shares)
-        return np.mod(out + 1, self.params.delta)
+# The realistic single-server PSU attack: shift every Eq. 18 output cell,
+# fabricating membership for every absent cell.
+_TamperPsuServer = TamperPsuServer
 
 
 class TestHonest:

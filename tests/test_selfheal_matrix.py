@@ -113,7 +113,7 @@ class TestSelfHealMatrix:
                 # The stall must outlast rpc_timeout: a member that
                 # resumes sooner just replies late-but-in-time and is
                 # never ejected.
-                injector.arm(Fault(role=0, member=1, kind="psi_round*",
+                injector.arm(Fault(role=0, member=1, kind="psi_round_batch",
                                    action="slow", resume_after=4.0))
                 channel = system._channels[0]
                 # Round-robin eventually addresses the armed seat; the
@@ -146,7 +146,7 @@ class TestSelfHealMatrix:
         try:
             with build(pools_spec(pools), rpc_timeout=60.0) as system:
                 injector = ChaosInjector(system, pools, processes)
-                injector.arm(Fault(role=0, member=0, kind="psi_round*",
+                injector.arm(Fault(role=0, member=0, kind="psi_round_batch",
                                    action="disconnect"))
                 assert system.psi("k", querier=0).membership.tolist() == \
                     expected["batch"]["psi"]

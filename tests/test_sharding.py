@@ -160,7 +160,8 @@ def test_subset_and_full_owner_sets_agree_on_membership():
 
 
 def test_malicious_server_still_caught_under_sharding():
-    """Overridden kernels fall back per row; tampering stays effective."""
+    """The tamper seam fires on worker-pool output; tampering stays
+    effective and the sweep still runs sharded."""
     values = list(range(23))
     relations = [Relation("a", {"A": values[:12]}),
                  Relation("b", {"A": values[6:]})]
@@ -170,6 +171,7 @@ def test_malicious_server_still_caught_under_sharding():
                            server_factories={0: SkipCellsServer}) as system:
         with pytest.raises(VerificationError):
             system.psi("A", verify=True)
+        assert system._shard_runtime.dispatches > 0
 
 
 def test_instrumented_fetch_keeps_thread_path():
@@ -302,15 +304,15 @@ def test_server_reuses_one_thread_pool_across_calls():
     with build_fleet() as system:
         server: PrismServer = system.servers[0]
         assert server._pool is None
-        server.psi_round("A", num_threads=2)
+        server.psi_round_batch(["A"], num_threads=2)
         pool = server._pool
         assert pool is not None
-        server.psi_round("A", num_threads=2)
+        server.psi_round_batch(["A"], num_threads=2)
         assert server._pool is pool  # not rebuilt per call
-        server.psi_round("A", num_threads=4)
+        server.psi_round_batch(["A"], num_threads=4)
         assert server._pool is not pool  # grown once, then persistent
         grown = server._pool
-        server.psi_round("A", num_threads=3)
+        server.psi_round_batch(["A"], num_threads=3)
         assert server._pool is grown
         server.close()
         assert server._pool is None

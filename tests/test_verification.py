@@ -118,8 +118,9 @@ class TestDetectionProbability:
         # streams; with the complement un-permuted, the forged proof pairs
         # up.  We emulate by checking that cell 0's own proof is valid.
         system = adversarial_system({})
-        out = [s.psi_round("k") for s in system.servers[:2]]
-        vout = [s.verification_round("vk") for s in system.servers[:2]]
+        out = [s.psi_round_batch(["k"])[0] for s in system.servers[:2]]
+        vout = [s.psi_round_batch(["vk"], subtract_m=[False])[0]
+                for s in system.servers[:2]]
         owner = system.owners[0]
         eta = owner.params.eta
         fop0 = int(out[0][0]) * int(out[1][0]) % eta
